@@ -18,7 +18,7 @@
 //      field's accumulation scale;
 //   3. speed — kSimd vs kLeafOwner wall time at 8 threads, plus the
 //      projected dedicated-lane time (serial remainder + longest worker
-//      lane on the thread CPU clock, as in bench/launch_schedule) since
+//      lane on the thread CPU clock, as in bench/thread_scaling) since
 //      on this substitute machine all workers share one core.
 //
 // --quick shrinks the problem and gates only (1) and (2) — that variant
@@ -57,7 +57,7 @@ constexpr double kBox = 8.0;
 constexpr float kCutoff = 0.8f;
 
 /// Clustered gas cloud with valid densities and smoothing lengths — the
-/// same population shape as bench/launch_schedule.
+/// same population shape as bench/ablation_warp_split.
 struct Fixture {
   Particles particles;
   tree::ChainingMesh mesh;

@@ -9,7 +9,7 @@
 // interruption count.
 //
 //   ./examples/frontier_mini [--threads=N] [--sdc=on|off]
-//                            [--launch-schedule=leaf_owner|deferred_store|simd]
+//                            [--launch-schedule=leaf_owner|simd]
 //                            [--sdc-flip-rate=R] [--sdc-flip-seed=S]
 //                            [--ckpt-diff] [--ckpt-audit-on-restore]
 //                            [--rank-loss-policy=fatal|shrink]
@@ -21,12 +21,11 @@
 // work-stealing pool (0 = hardware concurrency). The answer is bitwise
 // identical for every N; the report adds the pool's scheduler accounting.
 //
-// --launch-schedule selects how pair-kernel launches compose with the
-// pool: leaf_owner (default) accumulates in place per owner leaf;
-// deferred_store is the buffered-replay alternative; simd keeps the
-// owner-leaf decomposition but runs vectorized tile engines (rejected
-// when the build has no SIMD backend). All three are bitwise identical
-// to serial — the knob exists for A/B drills.
+// --launch-schedule selects the pair-kernel tile engine: leaf_owner
+// (default) runs scalar tiles; simd keeps the same owner-leaf
+// decomposition but runs vectorized tile engines (rejected when the
+// build has no SIMD backend). Both accumulate in place per owner leaf
+// and are bitwise identical to serial — the knob exists for A/B drills.
 //
 // With a storage_fault_seed, the PFS additionally injects silent
 // corruption (torn writes, bit flips) and transient I/O errors; the
@@ -102,9 +101,7 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--launch-schedule=", 18) == 0) {
       const char* value = argv[i] + 18;
-      if (std::strcmp(value, "deferred_store") == 0) {
-        schedule = gpu::LaunchSchedule::kDeferredStore;
-      } else if (std::strcmp(value, "simd") == 0) {
+      if (std::strcmp(value, "simd") == 0) {
         if (!gpu::simd_support().available) {
           std::fprintf(stderr,
                        "--launch-schedule=simd: this build has no SIMD "
@@ -114,8 +111,7 @@ int main(int argc, char** argv) {
         schedule = gpu::LaunchSchedule::kSimd;
       } else if (std::strcmp(value, "leaf_owner") != 0) {
         std::fprintf(stderr,
-                     "unknown --launch-schedule '%s' (leaf_owner | "
-                     "deferred_store | simd)\n",
+                     "unknown --launch-schedule '%s' (leaf_owner | simd)\n",
                      value);
         return 2;
       }
@@ -199,9 +195,7 @@ int main(int argc, char** argv) {
   config.rank_loss_policy = rank_loss_policy;
 
   const char* schedule_name =
-      schedule == gpu::LaunchSchedule::kLeafOwner        ? "leaf_owner"
-      : schedule == gpu::LaunchSchedule::kDeferredStore  ? "deferred_store"
-                                                         : "simd";
+      schedule == gpu::LaunchSchedule::kLeafOwner ? "leaf_owner" : "simd";
   std::printf("frontier-mini: %d ranks, %zu^3 particle pairs, %d PM steps, "
               "%d pool threads/rank, %s launch schedule%s%s%s\n",
               ranks, config.np, config.num_pm_steps, config.threads,

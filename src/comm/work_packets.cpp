@@ -43,7 +43,9 @@ std::vector<T> read_array(const std::vector<std::uint8_t>& bytes,
   CHECK_MSG(cursor + n * sizeof(T) <= bytes.size(),
             "work packet array truncated");
   std::vector<T> v(n);
-  std::memcpy(v.data(), bytes.data() + cursor, n * sizeof(T));
+  // data() of an empty vector may be null; memcpy forbids null even for
+  // zero sizes.
+  if (n > 0) std::memcpy(v.data(), bytes.data() + cursor, n * sizeof(T));
   cursor += n * sizeof(T);
   return v;
 }

@@ -394,40 +394,39 @@ std::vector<std::vector<std::uint8_t>> Communicator::allgather_bytes(
   return out;
 }
 
-void Communicator::allreduce(std::span<double> values, ReduceOp op) {
+namespace {
+
+/// Element-wise allreduce over an allgather of every rank's raw bytes.
+template <typename T>
+void allreduce_values(Communicator& comm, std::span<T> values, ReduceOp op) {
   std::vector<std::uint8_t> mine(values.size_bytes());
-  std::memcpy(mine.data(), values.data(), mine.size());
-  auto all = allgather_bytes(mine);
+  // data() of an empty span may be null; memcpy forbids null even for
+  // zero sizes.
+  if (!mine.empty()) std::memcpy(mine.data(), values.data(), mine.size());
+  auto all = comm.allgather_bytes(mine);
   for (std::size_t s = 0; s < all.size(); ++s) {
-    if (static_cast<int>(s) == rank_) continue;
+    if (static_cast<int>(s) == comm.rank()) continue;
     CHECK(all[s].size() == values.size_bytes());
-    const auto* other = reinterpret_cast<const double*>(all[s].data());
     for (std::size_t i = 0; i < values.size(); ++i) {
+      T other{};
+      std::memcpy(&other, all[s].data() + i * sizeof(T), sizeof(T));
       switch (op) {
-        case ReduceOp::kSum: values[i] += other[i]; break;
-        case ReduceOp::kMin: values[i] = std::min(values[i], other[i]); break;
-        case ReduceOp::kMax: values[i] = std::max(values[i], other[i]); break;
+        case ReduceOp::kSum: values[i] += other; break;
+        case ReduceOp::kMin: values[i] = std::min(values[i], other); break;
+        case ReduceOp::kMax: values[i] = std::max(values[i], other); break;
       }
     }
   }
 }
 
+}  // namespace
+
+void Communicator::allreduce(std::span<double> values, ReduceOp op) {
+  allreduce_values(*this, values, op);
+}
+
 void Communicator::allreduce(std::span<std::int64_t> values, ReduceOp op) {
-  std::vector<std::uint8_t> mine(values.size_bytes());
-  std::memcpy(mine.data(), values.data(), mine.size());
-  auto all = allgather_bytes(mine);
-  for (std::size_t s = 0; s < all.size(); ++s) {
-    if (static_cast<int>(s) == rank_) continue;
-    CHECK(all[s].size() == values.size_bytes());
-    const auto* other = reinterpret_cast<const std::int64_t*>(all[s].data());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      switch (op) {
-        case ReduceOp::kSum: values[i] += other[i]; break;
-        case ReduceOp::kMin: values[i] = std::min(values[i], other[i]); break;
-        case ReduceOp::kMax: values[i] = std::max(values[i], other[i]); break;
-      }
-    }
-  }
+  allreduce_values(*this, values, op);
 }
 
 double Communicator::allreduce_scalar(double value, ReduceOp op) {

@@ -127,7 +127,7 @@ class Communicator {
     auto bytes = recv_bytes(source, tag);
     CHECK(bytes.size() % sizeof(T) == 0);
     std::vector<T> out(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
+    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
     return out;
   }
 
@@ -167,11 +167,11 @@ class Communicator {
     std::vector<std::uint8_t> bytes;
     if (rank_ == root) {
       bytes.resize(data.size() * sizeof(T));
-      std::memcpy(bytes.data(), data.data(), bytes.size());
+      if (!bytes.empty()) std::memcpy(bytes.data(), data.data(), bytes.size());
     }
     bcast_bytes(bytes, root);
     data.resize(bytes.size() / sizeof(T));
-    std::memcpy(data.data(), bytes.data(), bytes.size());
+    if (!bytes.empty()) std::memcpy(data.data(), bytes.data(), bytes.size());
   }
 
   /// Gather one T from each rank onto all ranks (allgather).

@@ -57,18 +57,9 @@ SimConfig resolve_config(SimConfig config) {
 
 Simulation::Simulation(SimContext& ctx, comm::Communicator& comm,
                        const SimConfig& config)
-    : Simulation(nullptr, &ctx, comm, config) {}
-
-Simulation::Simulation(comm::Communicator& comm, const SimConfig& config)
-    : Simulation(std::make_unique<SimContext>(config.threads), nullptr, comm,
-                 config) {}
-
-Simulation::Simulation(std::unique_ptr<SimContext> owned, SimContext* borrowed,
-                       comm::Communicator& comm, const SimConfig& config)
     : comm_(comm),
       config_(resolve_config(config)),
-      private_ctx_(std::move(owned)),
-      ctx_(borrowed != nullptr ? *borrowed : *private_ctx_),
+      ctx_(ctx),
       pool_(ctx_.thread_pool()),
       pool_baseline_(pool_.stats()),
       decomp_(comm.size(), config.box),
@@ -952,9 +943,6 @@ void Simulation::finalize_run(RunResult& result, io::MultiTierWriter* writer) {
   switch (config_.sph.launch.schedule) {
     case gpu::LaunchSchedule::kLeafOwner:
       result.launch_schedule = "leaf_owner";
-      break;
-    case gpu::LaunchSchedule::kDeferredStore:
-      result.launch_schedule = "deferred_store";
       break;
     case gpu::LaunchSchedule::kSimd:
       result.launch_schedule = "simd";

@@ -18,12 +18,6 @@
 //    results are bitwise identical to serial with NO store buffering and
 //    no serial replay tax.
 //
-//  * kDeferredStore — PR 2's chunked pair scheduler: stores are captured
-//    into per-chunk buffers and replayed in chunk order on the calling
-//    thread. Kept as the comparison baseline (bench/launch_schedule) and
-//    as a fallback; transient memory is O(interactions) per launch vs.
-//    zero for kLeafOwner.
-//
 //  * kSimd — the leaf-owner decomposition with the inner half-warp tile
 //    evaluated simd::kWidth lanes per instruction (gpu/warp_simd.h).
 //    Work distribution, store ownership, and per-accumulator operand
@@ -57,7 +51,7 @@ namespace crkhacc::gpu {
 enum class LaunchMode { kNaive, kWarpSplit };
 
 /// How launch_pair_kernel distributes pair work over pool workers.
-enum class LaunchSchedule { kLeafOwner, kDeferredStore, kSimd };
+enum class LaunchSchedule { kLeafOwner, kSimd };
 
 /// Arithmetic contract of the kSimd schedule's vector kernels.
 ///  * kExact — every a*b+c is mul then add (two roundings): bitwise
@@ -119,10 +113,6 @@ struct LaunchStats {
   double flops = 0.0;
   double seconds = 0.0;
   std::size_t register_bytes_per_thread = 0;
-  /// High-watermark of deferred-store buffer bytes held at once by this
-  /// launch (0 on the leaf-owner schedule and on serial launches — they
-  /// buffer nothing). Max-merged, like register_bytes_per_thread.
-  std::uint64_t store_buffer_bytes = 0;
 
   LaunchStats& operator+=(const LaunchStats& o) {
     interactions += o.interactions;
@@ -133,7 +123,6 @@ struct LaunchStats {
     seconds += o.seconds;
     register_bytes_per_thread =
         std::max(register_bytes_per_thread, o.register_bytes_per_thread);
-    store_buffer_bytes = std::max(store_buffer_bytes, o.store_buffer_bytes);
     return *this;
   }
 
@@ -182,7 +171,7 @@ class LaunchPlan {
   /// Pairs must satisfy first <= second with both < cm.num_leaves() (as
   /// produced by ChainingMesh::interaction_pairs). The pair list is
   /// copied so the plan also serves serial launches (which run in
-  /// canonical pair order) and the deferred-store schedule.
+  /// canonical pair order).
   LaunchPlan(const tree::ChainingMesh& cm, std::span<const Pair> pairs);
 
   /// Rebuild a plan from pre-extracted owner-task CSRs — the receive

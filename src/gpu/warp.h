@@ -1,5 +1,5 @@
 // Leaf-pair kernel launch drivers: naive and warp-split, scheduled
-// serially, by owner leaf, or by deferred-store chunk replay.
+// serially in pair order or in parallel by owner leaf.
 //
 // The short-range solver's compute is leaf-to-leaf interaction kernels
 // (Section IV-B2): all particles i of one leaf interact with all particles
@@ -46,8 +46,8 @@
 //
 // Deterministic parallel launch: launch_pair_kernel optionally takes a
 // util::ThreadPool and a LaunchConfig selecting one of two schedules
-// (gpu/launch.h), both bitwise identical to the serial launch for any
-// thread count:
+// (gpu/launch.h). Parallel launches of both run launch_owner_tasks, and
+// both are bitwise identical to the serial launch for any thread count:
 //
 //  * LaunchSchedule::kLeafOwner (default) — parallel_for over OWNER
 //    leaves of a LaunchPlan. Each owner task walks its (partner, side)
@@ -61,12 +61,6 @@
 //    serial store sequence, and (3) the per-accumulator arithmetic of a
 //    one-sided tile is unchanged from the both-sides tile (same rotation
 //    order, same operand values — load/partial are pure).
-//
-//  * LaunchSchedule::kDeferredStore — the pair list is split into fixed
-//    8-pair chunks (independent of thread count); workers capture stores
-//    into per-chunk buffers and the calling thread replays them in chunk
-//    order. O(interactions) transient memory and a serial replay tax;
-//    kept as the measured baseline (bench/launch_schedule).
 //
 //  * LaunchSchedule::kSimd — the leaf-owner decomposition with the inner
 //    tile evaluated simd::kWidth lanes per vector instruction
@@ -304,8 +298,8 @@ void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
 
 /// Evaluate a contiguous sub-range [first, last) of the pair list. Under
 /// the kSimd schedule, kernels with a SIMD form take the vector tile
-/// engine; wrapper kernels (DeferredStoreKernel, test kernels with
-/// double accumulators) fall back to scalar tiles — still bitwise.
+/// engine; kernels without one (test kernels with double accumulators)
+/// fall back to scalar tiles — still bitwise.
 template <typename Kernel>
 void run_pair_range(
     Kernel& kernel, const tree::ChainingMesh& cm,
@@ -387,43 +381,6 @@ void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
   }
 }
 
-/// Forwards load/partial/interact to the wrapped kernel (shared read-only
-/// across workers) and captures store() calls into a chunk-private buffer
-/// for ordered replay on the calling thread.
-template <typename Kernel>
-class DeferredStoreKernel {
- public:
-  using State = typename Kernel::State;
-  using Partial = typename Kernel::Partial;
-  using Accum = typename Kernel::Accum;
-  static constexpr const char* kName = Kernel::kName;
-  static constexpr double kFlopsPerInteraction = Kernel::kFlopsPerInteraction;
-  static constexpr double kFlopsPerPartial = Kernel::kFlopsPerPartial;
-
-  DeferredStoreKernel(const Kernel& kernel,
-                      std::vector<std::pair<std::uint32_t, Accum>>& stores)
-      : kernel_(kernel), stores_(stores) {}
-
-  State load(std::uint32_t i) const { return kernel_.load(i); }
-  Partial partial(const State& s) const { return kernel_.partial(s); }
-  void interact(const State& self, const Partial& self_p, const State& other,
-                const Partial& other_p, Accum& acc) const {
-    kernel_.interact(self, self_p, other, other_p, acc);
-  }
-  void store(std::uint32_t i, const Accum& acc) {
-    stores_.emplace_back(i, acc);
-  }
-
- private:
-  const Kernel& kernel_;
-  std::vector<std::pair<std::uint32_t, Accum>>& stores_;
-};
-
-/// Pairs per deferred-store chunk. Fixed (never derived from the thread
-/// count) so the chunk decomposition — and therefore the store-replay
-/// order — is identical for every pool size.
-inline constexpr std::size_t kPairsPerChunk = 8;
-
 /// Per-thread working-set estimate of a launch under `config` (the
 /// register_bytes_per_thread stat), shared by every launch entry point.
 template <typename Kernel>
@@ -449,71 +406,18 @@ std::size_t register_footprint(const LaunchConfig& config) {
   return bytes;
 }
 
-/// Shared implementation behind the public overloads. `plan` may be null
-/// unless the launch takes the parallel leaf-owner path.
-template <typename Kernel>
-LaunchStats launch_impl(
-    Kernel& kernel, const tree::ChainingMesh& cm,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-    const LaunchPlan* plan, const LaunchConfig& config,
-    util::ThreadPool* pool) {
+/// Validate `config`, run `body(stats)` on a fresh LaunchStats timed as
+/// one launch, and derive the flop count. Every launch entry point goes
+/// through here, so the stats footer has one definition.
+template <typename Kernel, typename Body>
+LaunchStats timed_launch(const LaunchConfig& config, Body&& body) {
   const char* invalid = config.invalid_reason();
   CHECK_MSG(invalid == nullptr, (invalid ? invalid : ""));
 
   LaunchStats stats;
   Stopwatch watch;
-  stats.register_bytes_per_thread = detail::register_footprint<Kernel>(config);
-  if (!pool || pool->num_threads() <= 1) {
-    detail::run_pair_range(kernel, cm, pairs, 0, pairs.size(), config, stats);
-  } else if (config.schedule == LaunchSchedule::kLeafOwner ||
-             config.schedule == LaunchSchedule::kSimd) {
-    // kSimd shares the owner-leaf decomposition: same task granularity,
-    // same store ownership, only the tile engine differs.
-    CHECK_MSG(plan != nullptr,
-              "parallel leaf-owner launch requires a LaunchPlan");
-    // One task per owner leaf; each accumulates in place into disjoint
-    // particles, so there is nothing to replay and nothing to buffer.
-    std::vector<LaunchStats> owner_stats(plan->num_owners());
-    pool->parallel_for(0, plan->num_owners(), 1,
-                       [&](std::size_t lo, std::size_t hi, std::size_t c) {
-                         for (std::size_t t = lo; t < hi; ++t) {
-                           detail::run_owner_entries(kernel, cm, *plan, t,
-                                                     config, owner_stats[c]);
-                         }
-                       });
-    for (const LaunchStats& s : owner_stats) {
-      stats.merge(s, MergeTiming::kExclusive);
-    }
-  } else {
-    using Accum = typename Kernel::Accum;
-    struct ChunkResult {
-      LaunchStats stats;
-      std::vector<std::pair<std::uint32_t, Accum>> stores;
-    };
-    const std::size_t nchunks =
-        (pairs.size() + detail::kPairsPerChunk - 1) / detail::kPairsPerChunk;
-    std::vector<ChunkResult> chunks(nchunks);
-    pool->parallel_for(
-        0, pairs.size(), detail::kPairsPerChunk,
-        [&](std::size_t lo, std::size_t hi, std::size_t c) {
-          detail::DeferredStoreKernel<Kernel> deferred(kernel,
-                                                       chunks[c].stores);
-          detail::run_pair_range(deferred, cm, pairs, lo, hi, config,
-                                 chunks[c].stats);
-        });
-    // Ordered replay: chunk order x in-chunk order == serial pair order.
-    std::uint64_t buffered_bytes = 0;
-    for (auto& chunk : chunks) {
-      for (const auto& [i, acc] : chunk.stores) kernel.store(i, acc);
-      buffered_bytes += chunk.stores.capacity() *
-                        sizeof(std::pair<std::uint32_t, Accum>);
-      stats.merge(chunk.stats, MergeTiming::kExclusive);
-    }
-    // All chunk buffers are alive simultaneously between the region end
-    // and the replay — the O(interactions) transient the leaf-owner
-    // schedule eliminates.
-    stats.store_buffer_bytes = buffered_bytes;
-  }
+  stats.register_bytes_per_thread = register_footprint<Kernel>(config);
+  body(stats);
   stats.seconds = watch.seconds();
   stats.flops = static_cast<double>(stats.interactions) *
                     Kernel::kFlopsPerInteraction +
@@ -522,72 +426,54 @@ LaunchStats launch_impl(
   return stats;
 }
 
-}  // namespace detail
-
-/// Execute `kernel` over the owner plan's pair work. Serial (no pool, or
-/// one thread) launches run the canonical pair-by-pair order; parallel
-/// launches follow config.schedule (see the header comment). Bitwise
-/// identical to serial for any thread count under BOTH schedules.
+/// Serial launch in canonical pair-by-pair order.
 template <typename Kernel>
-LaunchStats launch_pair_kernel(Kernel& kernel, const tree::ChainingMesh& cm,
-                               const LaunchPlan& plan,
-                               const LaunchConfig& config,
-                               util::ThreadPool* pool = nullptr) {
-  return detail::launch_impl(kernel, cm, plan.pairs(), &plan, config, pool);
-}
-
-/// Convenience overload building the plan on demand. Pairs must satisfy
-/// first <= second (as produced by ChainingMesh::interaction_pairs); both
-/// orientations are accumulated. Callers launching several kernels over
-/// one pair list should build the LaunchPlan once and use the overload
-/// above.
-template <typename Kernel>
-LaunchStats launch_pair_kernel(
+LaunchStats launch_pairs_serial(
     Kernel& kernel, const tree::ChainingMesh& cm,
     std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-    const LaunchConfig& config, util::ThreadPool* pool = nullptr) {
-  if (pool && pool->num_threads() > 1 &&
-      (config.schedule == LaunchSchedule::kLeafOwner ||
-       config.schedule == LaunchSchedule::kSimd)) {
-    const LaunchPlan plan(cm, pairs);
-    return detail::launch_impl(kernel, cm, plan.pairs(), &plan, config, pool);
-  }
-  return detail::launch_impl(kernel, cm, pairs, nullptr, config, pool);
+    const LaunchConfig& config) {
+  return timed_launch<Kernel>(config, [&](LaunchStats& stats) {
+    run_pair_range(kernel, cm, pairs, 0, pairs.size(), config, stats);
+  });
 }
+
+inline bool is_parallel(const util::ThreadPool* pool) {
+  return pool != nullptr && pool->num_threads() > 1;
+}
+
+}  // namespace detail
 
 /// Execute exactly the plan's owner tasks — the one-task-per-owner-leaf
 /// decomposition — skipping tasks flagged in `skip_task` (nullable,
-/// indexed by TASK position t, not by leaf). The work-packet migration
-/// entry point (core/load_balancer.h): the donor launches with its
-/// migrated tasks flagged, the helper launches a packet-rebuilt plan
-/// with no flags.
+/// indexed by TASK position t, not by leaf). The one parallel driver:
+/// every parallel launch_pair_kernel runs here with no flags, and the
+/// work-packet migration entry point (core/load_balancer.h) runs the
+/// donor with its migrated tasks flagged and the helper on a
+/// packet-rebuilt plan with no flags.
 ///
 /// Unlike launch_pair_kernel, SERIAL launches also run the owner
 /// decomposition rather than the canonical pair order — a subset launch
 /// has no pair-walk equivalent. Per particle this changes nothing: a
 /// particle is stored to only by its owner's task, whose tile order
 /// equals the serial pair order (the leaf-owner bitwise contract), so
-/// results are bitwise identical to a pair-order launch for every
-/// schedule, including kDeferredStore configs (owner tasks write
-/// disjoint particles in place; there is nothing to defer).
+/// results are bitwise identical to a pair-order launch under either
+/// schedule.
 template <typename Kernel>
 LaunchStats launch_owner_tasks(Kernel& kernel, const tree::ChainingMesh& cm,
                                const LaunchPlan& plan,
                                const LaunchConfig& config,
                                const std::uint8_t* skip_task = nullptr,
                                util::ThreadPool* pool = nullptr) {
-  const char* invalid = config.invalid_reason();
-  CHECK_MSG(invalid == nullptr, (invalid ? invalid : ""));
-
-  LaunchStats stats;
-  Stopwatch watch;
-  stats.register_bytes_per_thread = detail::register_footprint<Kernel>(config);
-  if (!pool || pool->num_threads() <= 1) {
-    for (std::size_t t = 0; t < plan.num_owners(); ++t) {
-      if (skip_task && skip_task[t]) continue;
-      detail::run_owner_entries(kernel, cm, plan, t, config, stats);
+  return detail::timed_launch<Kernel>(config, [&](LaunchStats& stats) {
+    if (!detail::is_parallel(pool)) {
+      for (std::size_t t = 0; t < plan.num_owners(); ++t) {
+        if (skip_task && skip_task[t]) continue;
+        detail::run_owner_entries(kernel, cm, plan, t, config, stats);
+      }
+      return;
     }
-  } else {
+    // One task per owner leaf; each accumulates in place into disjoint
+    // particles, so there is nothing to replay and nothing to buffer.
     std::vector<LaunchStats> owner_stats(plan.num_owners());
     pool->parallel_for(0, plan.num_owners(), 1,
                        [&](std::size_t lo, std::size_t hi, std::size_t c) {
@@ -600,13 +486,42 @@ LaunchStats launch_owner_tasks(Kernel& kernel, const tree::ChainingMesh& cm,
     for (const LaunchStats& s : owner_stats) {
       stats.merge(s, MergeTiming::kExclusive);
     }
+  });
+}
+
+/// Execute `kernel` over the owner plan's pair work. Serial (no pool, or
+/// one thread) launches run the canonical pair-by-pair order; parallel
+/// launches run the plan's owner tasks (launch_owner_tasks), with
+/// config.schedule choosing the tile engine (see the header comment).
+/// Bitwise identical to serial for any thread count under BOTH
+/// schedules.
+template <typename Kernel>
+LaunchStats launch_pair_kernel(Kernel& kernel, const tree::ChainingMesh& cm,
+                               const LaunchPlan& plan,
+                               const LaunchConfig& config,
+                               util::ThreadPool* pool = nullptr) {
+  if (detail::is_parallel(pool)) {
+    return launch_owner_tasks(kernel, cm, plan, config, nullptr, pool);
   }
-  stats.seconds = watch.seconds();
-  stats.flops = static_cast<double>(stats.interactions) *
-                    Kernel::kFlopsPerInteraction +
-                static_cast<double>(stats.partial_evals) *
-                    Kernel::kFlopsPerPartial;
-  return stats;
+  return detail::launch_pairs_serial(kernel, cm, plan.pairs(), config);
+}
+
+/// Convenience overload building the plan on demand (parallel launches
+/// only; serial launches walk `pairs` directly). Pairs must satisfy
+/// first <= second (as produced by ChainingMesh::interaction_pairs); both
+/// orientations are accumulated. Callers launching several kernels over
+/// one pair list should build the LaunchPlan once and use the overload
+/// above.
+template <typename Kernel>
+LaunchStats launch_pair_kernel(
+    Kernel& kernel, const tree::ChainingMesh& cm,
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
+    const LaunchConfig& config, util::ThreadPool* pool = nullptr) {
+  if (detail::is_parallel(pool)) {
+    const LaunchPlan plan(cm, pairs);
+    return launch_owner_tasks(kernel, cm, plan, config, nullptr, pool);
+  }
+  return detail::launch_pairs_serial(kernel, cm, pairs, config);
 }
 
 }  // namespace crkhacc::gpu

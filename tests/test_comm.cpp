@@ -163,6 +163,70 @@ TEST_P(CollectivesTest, AlltoallvPersonalizedExchange) {
   });
 }
 
+// Empty inputs: every collective must accept zero-length buffers. An
+// empty span or vector may have a null data(), which memcpy forbids even
+// for zero sizes — the san label's UBSan run catches a missing guard.
+
+TEST_P(CollectivesTest, AllreduceEmptySpans) {
+  World world(GetParam());
+  world.run([](Communicator& comm) {
+    for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMin, ReduceOp::kMax}) {
+      comm.allreduce(std::span<double>(), op);
+      comm.allreduce(std::span<std::int64_t>(), op);
+    }
+    // The collective still synchronizes: a non-empty reduce after the
+    // empty ones sees every rank.
+    EXPECT_EQ(comm.allreduce_scalar(std::int64_t{1}, ReduceOp::kSum),
+              comm.size());
+  });
+}
+
+TEST_P(CollectivesTest, AllgatherEmptyBuffers) {
+  const int p = GetParam();
+  World world(p);
+  world.run([p](Communicator& comm) {
+    const auto all = comm.allgather_bytes({});
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
+    for (const auto& buffer : all) EXPECT_TRUE(buffer.empty());
+  });
+}
+
+TEST_P(CollectivesTest, BroadcastEmptyBuffers) {
+  const int p = GetParam();
+  World world(p);
+  world.run([p](Communicator& comm) {
+    for (int root = 0; root < p; ++root) {
+      // Non-roots start non-empty: the broadcast must resize them to 0.
+      std::vector<std::uint8_t> bytes;
+      if (comm.rank() != root) bytes = {1, 2, 3};
+      comm.bcast_bytes(bytes, root);
+      EXPECT_TRUE(bytes.empty());
+
+      std::vector<double> values;
+      if (comm.rank() != root) values = {4.0};
+      comm.bcast(values, root);
+      EXPECT_TRUE(values.empty());
+    }
+  });
+}
+
+TEST_P(CollectivesTest, AlltoallvAllSendsEmpty) {
+  const int p = GetParam();
+  World world(p);
+  world.run([p](Communicator& comm) {
+    const std::vector<std::vector<std::uint8_t>> raw(
+        static_cast<std::size_t>(p));
+    const auto got_raw = comm.alltoallv_bytes(raw);
+    ASSERT_EQ(got_raw.size(), static_cast<std::size_t>(p));
+    for (const auto& buffer : got_raw) EXPECT_TRUE(buffer.empty());
+
+    const std::vector<std::vector<int>> typed(static_cast<std::size_t>(p));
+    const auto got_typed = comm.alltoallv(typed);
+    ASSERT_EQ(got_typed.size(), static_cast<std::size_t>(p));
+    for (const auto& batch : got_typed) EXPECT_TRUE(batch.empty());
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectivesTest,
                          ::testing::Values(1, 2, 3, 4, 8));
 

@@ -254,18 +254,29 @@ not_a_real_key = 7
 }
 
 TEST(ParamFile, AppliesLaunchKeysAndRejectsDegenerateWarpSize) {
-  const auto params = ParamFile::parse(R"(
-launch_mode = naive
-launch_schedule = deferred_store
-)");
+  const auto params = ParamFile::parse("launch_mode = naive\n");
   ASSERT_TRUE(params.has_value());
   SimConfig config;
   EXPECT_TRUE(params->apply(config).empty());
   EXPECT_EQ(config.sph.launch.mode, gpu::LaunchMode::kNaive);
   EXPECT_EQ(config.gravity.launch.mode, gpu::LaunchMode::kNaive);
-  EXPECT_EQ(config.sph.launch.schedule, gpu::LaunchSchedule::kDeferredStore);
-  EXPECT_EQ(config.gravity.launch.schedule,
-            gpu::LaunchSchedule::kDeferredStore);
+
+  // The deferred-store schedule and its 'replay' alias were removed: both
+  // values are rejected like any unknown schedule, and the previous
+  // schedule stays in place.
+  for (const char* removed : {"deferred_store", "replay"}) {
+    const auto old_schedule =
+        ParamFile::parse(std::string("launch_schedule = ") + removed + "\n");
+    ASSERT_TRUE(old_schedule.has_value());
+    SimConfig kept;
+    kept.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
+    kept.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
+    const auto rejected = old_schedule->apply(kept);
+    ASSERT_EQ(rejected.size(), 1u) << removed;
+    EXPECT_EQ(rejected[0], "launch_schedule");
+    EXPECT_EQ(kept.sph.launch.schedule, gpu::LaunchSchedule::kSimd);
+    EXPECT_EQ(kept.gravity.launch.schedule, gpu::LaunchSchedule::kSimd);
+  }
 
   // warp_size = 1 would make the warp-split half-warp zero lanes wide
   // and hang the tile loop; the parser must refuse it and keep the

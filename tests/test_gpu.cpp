@@ -4,8 +4,8 @@
 // same physics for any kernel written against the concept, the warp-split
 // driver performs measurably fewer global loads and partial evaluations —
 // the exact claim of the paper's Algorithm 1 — and every parallel
-// schedule (leaf-owner, deferred-store) is bitwise identical to the
-// serial launch for any thread count and any leaf/warp geometry.
+// schedule (leaf-owner, simd) is bitwise identical to the serial launch
+// for any thread count and any leaf/warp geometry.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -116,8 +116,8 @@ std::vector<double> run_phi(const Particles& p, const tree::ChainingMesh& mesh,
 }
 
 /// The edge-geometry contract: naive ≡ warp-split (to rounding) and, for
-/// each mode, serial ≡ 8-thread leaf-owner ≡ 8-thread deferred-store,
-/// bitwise.
+/// each mode, serial ≡ 8-thread leaf-owner ≡ 8-thread simd (where the
+/// build has SIMD lanes and the config is valid for them), bitwise.
 void expect_all_drivers_agree(const Particles& p,
                               const tree::ChainingMesh& mesh,
                               const PairList& pairs,
@@ -126,14 +126,20 @@ void expect_all_drivers_agree(const Particles& p,
   std::vector<std::vector<double>> by_mode;
   for (const LaunchMode mode : {LaunchMode::kNaive, LaunchMode::kWarpSplit}) {
     LaunchConfig config{.warp_size = warp_size, .mode = mode};
-    const auto serial = run_phi(p, mesh, pairs, config);
+    LaunchStats serial_stats, owner_stats;
+    const auto serial = run_phi(p, mesh, pairs, config, nullptr, &serial_stats);
     config.schedule = LaunchSchedule::kLeafOwner;
-    EXPECT_EQ(run_phi(p, mesh, pairs, config, &pool), serial)
+    EXPECT_EQ(run_phi(p, mesh, pairs, config, &pool, &owner_stats), serial)
         << "leaf-owner @8 threads diverged from serial, warp " << warp_size;
-    config.schedule = LaunchSchedule::kDeferredStore;
-    EXPECT_EQ(run_phi(p, mesh, pairs, config, &pool), serial)
-        << "deferred-store @8 threads diverged from serial, warp "
-        << warp_size;
+    // Owner tasks split each cross pair into two one-sided walks; the
+    // interactions evaluated and the stores made stay the serial counts.
+    EXPECT_EQ(owner_stats.interactions, serial_stats.interactions);
+    EXPECT_EQ(owner_stats.stores, serial_stats.stores);
+    config.schedule = LaunchSchedule::kSimd;
+    if (simd_support().available && config.invalid_reason() == nullptr) {
+      EXPECT_EQ(run_phi(p, mesh, pairs, config, &pool), serial)
+          << "simd @8 threads diverged from serial, warp " << warp_size;
+    }
     by_mode.push_back(serial);
   }
   ASSERT_EQ(by_mode.size(), 2u);
@@ -264,8 +270,10 @@ TEST(SchedulerGeometry, EmptyPairList) {
   mesh.build(p);
   const PairList no_pairs;
   util::ThreadPool pool(8);
-  for (const auto schedule :
-       {LaunchSchedule::kLeafOwner, LaunchSchedule::kDeferredStore}) {
+  for (const auto schedule : {LaunchSchedule::kLeafOwner, LaunchSchedule::kSimd}) {
+    if (schedule == LaunchSchedule::kSimd && !simd_support().available) {
+      continue;
+    }
     LaunchStats stats;
     const auto phi = run_phi(p, mesh, no_pairs,
                              LaunchConfig{.schedule = schedule}, &pool, &stats);
@@ -392,7 +400,6 @@ TEST(LaunchStatsTest, MergePolicies) {
   a.flops = 100.0;
   a.seconds = 1.0;
   a.register_bytes_per_thread = 64;
-  a.store_buffer_bytes = 1000;
   LaunchStats b;
   b.interactions = 1;
   b.global_loads = 2;
@@ -401,7 +408,6 @@ TEST(LaunchStatsTest, MergePolicies) {
   b.flops = 50.0;
   b.seconds = 2.0;
   b.register_bytes_per_thread = 128;
-  b.store_buffer_bytes = 500;
 
   // kAccumulate == operator+=: back-to-back launches sum everything.
   LaunchStats acc = a;
@@ -412,7 +418,6 @@ TEST(LaunchStatsTest, MergePolicies) {
   EXPECT_DOUBLE_EQ(acc.seconds, 3.0);
   EXPECT_DOUBLE_EQ(acc.flops, 150.0);
   EXPECT_EQ(acc.register_bytes_per_thread, 128u);  // max, not sum
-  EXPECT_EQ(acc.store_buffer_bytes, 1000u);        // max, not sum
 
   // kExclusive: worker stats folded into one launch keep the launch's
   // own wall clock and flop total.
@@ -423,33 +428,6 @@ TEST(LaunchStatsTest, MergePolicies) {
   EXPECT_DOUBLE_EQ(excl.seconds, 1.0);
   EXPECT_DOUBLE_EQ(excl.flops, 100.0);
   EXPECT_EQ(excl.register_bytes_per_thread, 128u);
-}
-
-TEST(LaunchStatsTest, StoreBufferBytesOnlyOnDeferredSchedule) {
-  const auto p = random_particles(300, 1.0, 37);
-  tree::ChainingMesh mesh(cube(1.0), {2.0, 16});
-  mesh.build(p);
-  const auto pairs = mesh.interaction_pairs(10.0);
-  util::ThreadPool pool(8);
-
-  LaunchStats serial, owner, deferred;
-  run_phi(p, mesh, pairs, LaunchConfig{}, nullptr, &serial);
-  run_phi(p, mesh, pairs, LaunchConfig{.schedule = LaunchSchedule::kLeafOwner},
-          &pool, &owner);
-  run_phi(p, mesh, pairs,
-          LaunchConfig{.schedule = LaunchSchedule::kDeferredStore}, &pool,
-          &deferred);
-  // In-place accumulation buffers nothing; the replay schedule holds one
-  // captured Accum per store.
-  EXPECT_EQ(serial.store_buffer_bytes, 0u);
-  EXPECT_EQ(owner.store_buffer_bytes, 0u);
-  EXPECT_GT(deferred.store_buffer_bytes,
-            deferred.stores *
-                sizeof(std::pair<std::uint32_t, SeparableKernel::Accum>) / 2);
-  // All three cover the same physics.
-  EXPECT_EQ(owner.interactions, serial.interactions);
-  EXPECT_EQ(deferred.interactions, serial.interactions);
-  EXPECT_EQ(owner.stores, serial.stores);
 }
 
 // --- deprecated positional shim ---------------------------------------------

@@ -160,31 +160,41 @@ TEST_P(ThreadedSweepTest, ShortRangePipelineBitwiseEqualToSerial) {
   ASSERT_EQ(threaded_mesh.permutation(), serial_mesh.permutation());
 
   auto evaluate = [&](const tree::ChainingMesh& mesh, util::ThreadPool* p_pool,
-                      gpu::LaunchSchedule schedule) {
+                      const gpu::LaunchConfig& launch) {
     Particles p = base;
     gpu::FlopRegistry flops;
     gravity::GravityConfig gravity_config;
-    gravity_config.launch.schedule = schedule;
+    gravity_config.launch = launch;
     gravity::compute_short_range(p, mesh, nullptr, gravity_config, 1.0,
                                  nullptr, flops, nullptr, p_pool);
     sph::SphConfig sph_config;
-    sph_config.launch.schedule = schedule;
+    sph_config.launch = launch;
     sph::SphSolver solver(sph_config);
     solver.compute_forces(p, mesh, 1.0, nullptr, flops, nullptr, p_pool);
     return p;
   };
-  const Particles serial =
-      evaluate(serial_mesh, nullptr, gpu::LaunchSchedule::kLeafOwner);
-  // Both pool schedules must reproduce the serial pipeline bitwise.
-  for (const auto schedule : {gpu::LaunchSchedule::kLeafOwner,
-                              gpu::LaunchSchedule::kDeferredStore}) {
-    const Particles threaded = evaluate(threaded_mesh, &pool, schedule);
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(threaded.ax[i], serial.ax[i]) << "particle " << i;
-      ASSERT_EQ(threaded.ay[i], serial.ay[i]) << "particle " << i;
-      ASSERT_EQ(threaded.az[i], serial.az[i]) << "particle " << i;
-      ASSERT_EQ(threaded.rho[i], serial.rho[i]) << "particle " << i;
-      ASSERT_EQ(threaded.du[i], serial.du[i]) << "particle " << i;
+  // For both launch modes, every pool schedule valid for the mode must
+  // reproduce the serial pipeline bitwise.
+  for (const auto mode : {gpu::LaunchMode::kWarpSplit, gpu::LaunchMode::kNaive}) {
+    const gpu::LaunchConfig serial_launch{.mode = mode};
+    const Particles serial = evaluate(serial_mesh, nullptr, serial_launch);
+    for (const auto schedule :
+         {gpu::LaunchSchedule::kLeafOwner, gpu::LaunchSchedule::kSimd}) {
+      gpu::LaunchConfig launch = serial_launch;
+      launch.schedule = schedule;
+      if (launch.invalid_reason() != nullptr ||
+          (schedule == gpu::LaunchSchedule::kSimd &&
+           !gpu::simd_support().available)) {
+        continue;  // kSimd needs warp-split mode and a SIMD build
+      }
+      const Particles threaded = evaluate(threaded_mesh, &pool, launch);
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        ASSERT_EQ(threaded.ax[i], serial.ax[i]) << "particle " << i;
+        ASSERT_EQ(threaded.ay[i], serial.ay[i]) << "particle " << i;
+        ASSERT_EQ(threaded.az[i], serial.az[i]) << "particle " << i;
+        ASSERT_EQ(threaded.rho[i], serial.rho[i]) << "particle " << i;
+        ASSERT_EQ(threaded.du[i], serial.du[i]) << "particle " << i;
+      }
     }
   }
 }

@@ -16,7 +16,7 @@
 //      order, diagonal skip, or kI/kJ one-sided walks changes bits;
 //   3. the four production kernels (density, CRK moments, momentum-
 //      energy, short-range gravity with and without a ForceSplit) run
-//      through serial / leaf-owner / deferred-store / kSimd and compared
+//      through serial / leaf-owner / kSimd and compared
 //      byte-for-byte, with LaunchStats parity;
 //   4. the ULP gate for kFused;
 //   5. config validation and param-file parsing for the simd knobs.
@@ -483,8 +483,7 @@ void expect_snapshot_bitwise_eq(const FieldSnapshot& a, const FieldSnapshot& b,
 }
 
 /// The full differential sweep for one runner: serial scalar baseline vs
-/// kSimd serial, kSimd @8 threads, leaf-owner @8, deferred-store @8 —
-/// all bitwise — plus counter parity for the kSimd serial run.
+/// kSimd serial, kSimd @8 threads, leaf-owner @8 — all bitwise — plus counter parity for the kSimd serial run.
 template <typename Runner>
 void differential_sweep(Runner&& run, std::uint32_t warp_size,
                         const std::string& label) {
@@ -502,15 +501,9 @@ void differential_sweep(Runner&& run, std::uint32_t warp_size,
       run(LaunchConfig{.warp_size = warp_size,
                        .schedule = LaunchSchedule::kLeafOwner},
           &pool, nullptr);
-  const auto deferred_pool =
-      run(LaunchConfig{.warp_size = warp_size,
-                       .schedule = LaunchSchedule::kDeferredStore},
-          &pool, nullptr);
   expect_snapshot_bitwise_eq(scalar, simd_serial, label + " simd serial");
   expect_snapshot_bitwise_eq(scalar, simd_pool, label + " simd @8");
   expect_snapshot_bitwise_eq(scalar, owner_pool, label + " leaf-owner @8");
-  expect_snapshot_bitwise_eq(scalar, deferred_pool,
-                             label + " deferred-store @8");
   expect_counter_parity(scalar_stats, simd_stats, (label + " stats").c_str());
 }
 

@@ -16,6 +16,7 @@
 
 #include "comm/world.h"
 #include "core/simulation.h"
+#include "gpu/device.h"
 #include "gpu/launch.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -454,15 +455,18 @@ TEST(GoldenTrace, SpanCountsAndNestingIdenticalAcrossThreadCounts) {
 }
 
 TEST(GoldenTrace, SpanCountsAndNestingIdenticalAcrossSchedules) {
+  if (!gpu::simd_support().available) {
+    GTEST_SKIP() << "SIMD lanes unavailable: only one schedule to compare";
+  }
   auto config = trace_config();
   config.threads = 4;
   config.sph.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
   config.gravity.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
   const auto owner = run_and_sign(config);
-  config.sph.launch.schedule = gpu::LaunchSchedule::kDeferredStore;
-  config.gravity.launch.schedule = gpu::LaunchSchedule::kDeferredStore;
-  const auto deferred = run_and_sign(config);
-  EXPECT_EQ(owner, deferred);
+  config.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
+  config.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
+  const auto simd = run_and_sign(config);
+  EXPECT_EQ(owner, simd);
 }
 
 TEST(GoldenTrace, StructuralSpansMatchStepReport) {
