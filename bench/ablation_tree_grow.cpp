@@ -30,6 +30,7 @@ Outcome run_mode(bool rebuild_every_substep) {
   config.z_final = 3.0;  // let clustering develop so leaves actually drift
   config.num_pm_steps = 4;
   config.rebuild_tree_every_substep = rebuild_every_substep;
+  config.trace.enabled = true;  // component times are read from the spans
   Outcome outcome;
   std::mutex mutex;
   comm::World world(1);
@@ -37,11 +38,11 @@ Outcome run_mode(bool rebuild_every_substep) {
     core::SimContext ctx(config.threads);
     core::Simulation sim(ctx, comm, config);
     sim.initialize();
-    sim.run();
+    sim.run();  // finalize_run flushes the trace
     std::lock_guard<std::mutex> lock(mutex);
-    outcome.tree_seconds = sim.timers().total(timers::kTreeBuild);
-    outcome.force_seconds = sim.timers().total(timers::kShortRange);
-    outcome.total_seconds = sim.timers().grand_total();
+    outcome.tree_seconds = core::fig5_seconds(sim.trace(), "tree_build");
+    outcome.force_seconds = core::fig5_seconds(sim.trace(), "short_range");
+    outcome.total_seconds = core::fig5_total_seconds(sim.trace());
   });
   return outcome;
 }

@@ -45,7 +45,10 @@ struct ScalingPoint {
   double gflops;           ///< aggregate kernel GFLOP executed
 };
 
-ScalingPoint run_case(int ranks, const core::SimConfig& config) {
+ScalingPoint run_case(int ranks, core::SimConfig config) {
+  // Traced: the solver time is read from the spans. These runs keep the
+  // load balancer off, so tracing cannot change a decision.
+  config.trace.enabled = true;
   ScalingPoint point{ranks, 0.0, 0, 0.0};
   std::mutex mutex;
   comm::World world(ranks);
@@ -56,9 +59,10 @@ ScalingPoint run_case(int ranks, const core::SimConfig& config) {
     for (int s = 0; s < config.num_pm_steps; ++s) {
       sim.step();
     }
-    const double solver_seconds = sim.timers().total(timers::kShortRange) +
-                                  sim.timers().total(timers::kLongRange) +
-                                  sim.timers().total(timers::kTreeBuild);
+    const double solver_seconds =
+        core::fig5_seconds(sim.trace(), "short_range") +
+        core::fig5_seconds(sim.trace(), "long_range") +
+        core::fig5_seconds(sim.trace(), "tree_build");
     const double max_seconds =
         comm.allreduce_scalar(solver_seconds, comm::ReduceOp::kMax);
     std::int64_t owned = 0;
@@ -113,6 +117,8 @@ LbPoint run_lb_case(double lb_threshold, bool quick) {
     config.seed = 77;
     config.sph.eta = 0.1f;  // bin width = short-range cutoff, not SPH
     config.lb.threshold = lb_threshold;
+    // Untraced: with tracing on, the balancer would read measured span
+    // times instead of the census and its decisions would change.
     core::SimContext ctx(config.threads);
     core::Simulation sim(ctx, comm, config);
 

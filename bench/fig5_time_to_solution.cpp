@@ -2,7 +2,8 @@
 //
 // Reproduces, at miniature scale, the paper's end-to-end accounting:
 //  * cumulative wall time per PM step, split into the Fig. 5 component
-//    taxonomy {short-range, analysis, I/O, long-range, tree, misc};
+//    taxonomy {short-range, analysis, I/O, long-range, tree, misc}, read
+//    from the trace spans (core::kFig5Taxonomy);
 //  * the component fractions next to the paper's values
 //    {79.6%, 11.6%, 2.6%, 1.7%, 1.7%};
 //  * NVMe vs PFS bandwidth per step and cumulative data written
@@ -54,6 +55,7 @@ int main() {
   config.subgrid_on = true;
   config.analysis_every = 1;
   config.seed = 55;
+  config.trace.enabled = true;  // the component breakdown reads the spans
 
   // Storage model: per-rank NVMe at 400 MB/s; one shared PFS at 60 MB/s.
   io::ThrottledStore pfs(
@@ -65,7 +67,8 @@ int main() {
   }
 
   std::vector<StepTrace> trace;
-  TimerRegistry timers;
+  // Fig. 5 category seconds summed over ranks, in kFig5Taxonomy order.
+  std::vector<double> category_seconds(std::size(core::kFig5Taxonomy), 0.0);
   double gravity_only_seconds = 0.0;
   double hydro_seconds = 0.0;
   std::mutex mutex;
@@ -110,12 +113,17 @@ int main() {
             total_written / 1e9});
       }
     }
-    // Merge timers (max-rank semantics approximated by rank 0 + merge).
+    // Commit the last analysis' spans, then sum categories over ranks;
+    // the hydro cost is the slowest rank's category total.
+    sim.trace().flush(sim.current_step());
     {
       std::lock_guard<std::mutex> lock(mutex);
-      timers.merge(sim.timers());
+      for (std::size_t c = 0; c < category_seconds.size(); ++c) {
+        category_seconds[c] +=
+            core::fig5_seconds(sim.trace(), core::kFig5Taxonomy[c].name);
+      }
       hydro_seconds =
-          std::max(hydro_seconds, sim.timers().grand_total());
+          std::max(hydro_seconds, core::fig5_total_seconds(sim.trace()));
     }
   });
 
@@ -131,19 +139,18 @@ int main() {
   bench::print_rule();
 
   std::printf("\ncomponent breakdown vs paper (Fig. 2 / Fig. 5):\n");
-  struct PaperFraction {
-    const char* name;
-    double paper;
-  };
-  const PaperFraction reference[] = {
-      {timers::kShortRange, 0.796}, {timers::kAnalysis, 0.116},
-      {timers::kIO, 0.026},         {timers::kLongRange, 0.017},
-      {timers::kTreeBuild, 0.017},  {timers::kMisc, 0.028},
-  };
+  // Paper fractions in kFig5Taxonomy order.
+  const double paper[] = {0.796, 0.116, 0.026, 0.017, 0.017, 0.028};
+  static_assert(std::size(paper) == std::size(core::kFig5Taxonomy));
+  double all_seconds = 0.0;
+  for (const double seconds : category_seconds) all_seconds += seconds;
   std::printf("%-14s %-12s %-12s\n", "component", "measured", "paper");
-  for (const auto& ref : reference) {
-    std::printf("%-14s %-12.1f%% %-12.1f%%\n", ref.name,
-                100.0 * timers.fraction(ref.name), 100.0 * ref.paper);
+  for (std::size_t c = 0; c < category_seconds.size(); ++c) {
+    std::printf("%-14s %-12.1f%% %-12.1f%%\n", core::kFig5Taxonomy[c].name,
+                all_seconds > 0.0
+                    ? 100.0 * category_seconds[c] / all_seconds
+                    : 0.0,
+                100.0 * paper[c]);
   }
 
   // Gravity-only comparison (paper: hydro run ~16x a gravity-only run).
@@ -157,10 +164,9 @@ int main() {
       core::SimContext ctx(go_config.threads);
       core::Simulation sim(ctx, comm, go_config);
       sim.initialize();
-      const auto result = sim.run();
-      (void)result;
+      sim.run();  // finalize_run flushes the trace
       const double total = comm.allreduce_scalar(
-          sim.timers().grand_total(), comm::ReduceOp::kMax);
+          core::fig5_total_seconds(sim.trace()), comm::ReduceOp::kMax);
       if (comm.rank() == 0) {
         std::lock_guard<std::mutex> lock(mutex);
         gravity_only_seconds = total;

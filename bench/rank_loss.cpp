@@ -11,14 +11,17 @@
 //   1. overhead — the full recovery (watchdog detection + survivor
 //      unwinding + shrunken relaunch running to completion) costs less
 //      than 1.10x a fault-free 2-rank restart doing the same replay
-//      from the same checkpoint step;
-//   2. correctness — the shrunken run's final particle state is bitwise
-//      identical to that fault-free restart (memcmp per column);
-//   3. bookkeeping — exactly one rank file is adopted and the campaign
-//      reports one loss and one shrink recovery.
+//      from the same checkpoint step, as the median over kPairs
+//      interleaved shrink/restart pairs;
+//   2. correctness — in every pair, the shrunken run's final particle
+//      state is bitwise identical to that fault-free restart (memcmp
+//      per column);
+//   3. bookkeeping — in every pair, exactly one rank file is adopted and
+//      the campaign reports one loss and one shrink recovery.
 //
 // --quick shrinks the problem and runs as the rank_loss_smoke ctest
 // target, so a detection or adoption regression fails the build.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <chrono>
@@ -40,6 +43,10 @@ namespace {
 
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
+
+/// Interleaved shrink/restart pairs timed for the overhead gate (odd, so
+/// the median is one measured pair).
+constexpr int kPairs = 15;
 
 core::SimConfig bench_config(bool quick) {
   core::SimConfig config;
@@ -178,86 +185,102 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(op_end[1]),
               static_cast<unsigned long long>(kill_op));
 
-  // --- shrink: kill rank 1 mid-run, survive on 2 ranks -------------------
-  Stores shrink_stores(root / "shrink", ranks);
-  std::vector<RankRecord> shrunk(ranks);
-  core::Campaign campaign(core::RankLossPolicy::kShrink, shrink_stores.locals,
-                          fast_watchdog);
-  campaign.schedule_rank_failure(1, kill_op);
-  campaign.run([&](comm::Communicator& comm, const core::CampaignEpoch& epoch) {
-    epoch_program(comm, epoch, shrink_stores.pfs, config, nullptr, nullptr,
-                  &shrunk);
-  });
-  const double recovery_s = campaign.last_recovery_seconds();
-  const std::uint64_t resume_step = shrunk[0].resume_step;
-  std::printf("shrink: recovered from step %llu, recovery %0.3f s "
-              "(detection + shrunken relaunch to completion)\n",
-              static_cast<unsigned long long>(resume_step), recovery_s);
-
+  // Each pair runs the shrink and then the fault-free restart back to
+  // back; the gate reads the median of the per-pair ratios. One pair of
+  // these ~0.4 s replays swings by about +-15% on a shared host, which a
+  // 1.10x gate cannot tell from a regression.
   bool ok = true;
-  if (campaign.rank_losses() != 1 || campaign.shrink_recoveries() != 1 ||
-      !shrunk[0].finished || !shrunk[1].finished ||
-      shrunk[0].result.adopted_rank_files != 1) {
-    std::printf("FAIL: expected 1 loss / 1 shrink recovery / 1 adopted rank "
-                "file, got %llu / %llu / %llu\n",
-                static_cast<unsigned long long>(campaign.rank_losses()),
-                static_cast<unsigned long long>(campaign.shrink_recoveries()),
-                static_cast<unsigned long long>(
-                    shrunk[0].result.adopted_rank_files));
-    ok = false;
-  }
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const auto pair_root = root / ("pair" + std::to_string(pair));
 
-  // --- reference: fault-free 2-rank restart from the same step -----------
-  const auto step_dir =
-      fs::path(io::MultiTierWriter::checkpoint_path(resume_step, 0))
-          .parent_path()
-          .string();
-  Stores ref_stores(root / "reference", ranks - 1);
-  fs::create_directories(
-      fs::path(ref_stores.pfs.full_path(step_dir)).parent_path());
-  fs::copy(shrink_stores.pfs.full_path(step_dir),
-           ref_stores.pfs.full_path(step_dir), fs::copy_options::recursive);
+    // --- shrink: kill rank 1 mid-run, survive on 2 ranks -----------------
+    Stores shrink_stores(pair_root / "shrink", ranks);
+    std::vector<RankRecord> shrunk(ranks);
+    core::Campaign campaign(core::RankLossPolicy::kShrink,
+                            shrink_stores.locals, fast_watchdog);
+    campaign.schedule_rank_failure(1, kill_op);
+    campaign.run(
+        [&](comm::Communicator& comm, const core::CampaignEpoch& epoch) {
+          epoch_program(comm, epoch, shrink_stores.pfs, config, nullptr,
+                        nullptr, &shrunk);
+        });
+    const double recovery_s = campaign.last_recovery_seconds();
+    const std::uint64_t resume_step = shrunk[0].resume_step;
 
-  std::vector<RankRecord> reference(ranks - 1);
-  core::Campaign ref_campaign(core::RankLossPolicy::kShrink, ref_stores.locals,
-                              fast_watchdog);
-  ref_campaign.set_resume(true);
-  const auto restart_begin = Clock::now();
-  ref_campaign.run(
-      [&](comm::Communicator& comm, const core::CampaignEpoch& epoch) {
-        epoch_program(comm, epoch, ref_stores.pfs, config, nullptr, nullptr,
-                      &reference);
-      });
-  const double restart_s =
-      std::chrono::duration<double>(Clock::now() - restart_begin).count();
-  std::printf("reference: fault-free 2-rank restart from step %llu took "
-              "%0.3f s\n\n",
-              static_cast<unsigned long long>(reference[0].resume_step),
-              restart_s);
-
-  if (reference[0].resume_step != resume_step) {
-    std::printf("FAIL: reference restarted from step %llu, not %llu\n",
-                static_cast<unsigned long long>(reference[0].resume_step),
-                static_cast<unsigned long long>(resume_step));
-    ok = false;
-  }
-  for (int r = 0; r < ranks - 1; ++r) {
-    const auto idx = static_cast<std::size_t>(r);
-    if (!bitwise_equal(shrunk[idx].final_particles,
-                       reference[idx].final_particles)) {
-      std::printf("FAIL: rank %d final state differs from the fault-free "
-                  "restart\n", r);
+    if (campaign.rank_losses() != 1 || campaign.shrink_recoveries() != 1 ||
+        !shrunk[0].finished || !shrunk[1].finished ||
+        shrunk[0].result.adopted_rank_files != 1) {
+      std::printf("FAIL: pair %d: expected 1 loss / 1 shrink recovery / 1 "
+                  "adopted rank file, got %llu / %llu / %llu\n", pair,
+                  static_cast<unsigned long long>(campaign.rank_losses()),
+                  static_cast<unsigned long long>(
+                      campaign.shrink_recoveries()),
+                  static_cast<unsigned long long>(
+                      shrunk[0].result.adopted_rank_files));
       ok = false;
     }
+
+    // --- reference: fault-free 2-rank restart from the same step ---------
+    const auto step_dir =
+        fs::path(io::MultiTierWriter::checkpoint_path(resume_step, 0))
+            .parent_path()
+            .string();
+    Stores ref_stores(pair_root / "reference", ranks - 1);
+    fs::create_directories(
+        fs::path(ref_stores.pfs.full_path(step_dir)).parent_path());
+    fs::copy(shrink_stores.pfs.full_path(step_dir),
+             ref_stores.pfs.full_path(step_dir), fs::copy_options::recursive);
+
+    std::vector<RankRecord> reference(ranks - 1);
+    core::Campaign ref_campaign(core::RankLossPolicy::kShrink,
+                                ref_stores.locals, fast_watchdog);
+    ref_campaign.set_resume(true);
+    const auto restart_begin = Clock::now();
+    ref_campaign.run(
+        [&](comm::Communicator& comm, const core::CampaignEpoch& epoch) {
+          epoch_program(comm, epoch, ref_stores.pfs, config, nullptr,
+                        nullptr, &reference);
+        });
+    const double restart_s =
+        std::chrono::duration<double>(Clock::now() - restart_begin).count();
+
+    if (reference[0].resume_step != resume_step) {
+      std::printf("FAIL: pair %d: reference restarted from step %llu, not "
+                  "%llu\n", pair,
+                  static_cast<unsigned long long>(reference[0].resume_step),
+                  static_cast<unsigned long long>(resume_step));
+      ok = false;
+    }
+    for (int r = 0; r < ranks - 1; ++r) {
+      const auto idx = static_cast<std::size_t>(r);
+      if (!bitwise_equal(shrunk[idx].final_particles,
+                         reference[idx].final_particles)) {
+        std::printf("FAIL: pair %d: rank %d final state differs from the "
+                    "fault-free restart\n", pair, r);
+        ok = false;
+      }
+    }
+
+    const double ratio = restart_s > 0.0 ? recovery_s / restart_s : 0.0;
+    ratios.push_back(ratio);
+    std::printf("pair %2d: recovered from step %llu, recovery %0.3f s vs "
+                "%0.3f s restart -> %0.2fx\n", pair,
+                static_cast<unsigned long long>(resume_step), recovery_s,
+                restart_s, ratio);
+    fs::remove_all(pair_root);
   }
   if (ok) {
-    std::printf("re-entry: final state bitwise identical to the fault-free "
-                "restart on both survivors\n");
+    std::printf("\nre-entry: final state bitwise identical to the "
+                "fault-free restart on both survivors in all %d pairs\n",
+                kPairs);
   }
 
-  const double overhead = restart_s > 0.0 ? recovery_s / restart_s : 0.0;
-  std::printf("recovery overhead: %0.3f s vs %0.3f s restart -> %0.2fx "
-              "(gate: < 1.10x)\n", recovery_s, restart_s, overhead);
+  std::sort(ratios.begin(), ratios.end());
+  const double overhead = ratios[ratios.size() / 2];
+  std::printf("recovery overhead: median %0.2fx over %d pairs (range "
+              "%0.2f-%0.2fx; gate: < 1.10x)\n", overhead, kPairs,
+              ratios.front(), ratios.back());
   if (overhead >= 1.10) {
     std::printf("FAIL: recovery overhead above the 1.10x gate\n");
     ok = false;

@@ -49,6 +49,7 @@ ThreadPoint run_case(unsigned threads, const core::SimConfig& base) {
   point.threads = threads;
   core::SimConfig config = base;
   config.threads = static_cast<int>(threads);
+  config.trace.enabled = true;  // phase wall time is read from the spans
   comm::World world(1);
   world.run([&](comm::Communicator& comm) {
     Stopwatch total;
@@ -57,8 +58,8 @@ ThreadPoint run_case(unsigned threads, const core::SimConfig& base) {
     sim.initialize();
     for (int s = 0; s < config.num_pm_steps; ++s) sim.step();
     point.total_seconds = total.seconds();
-    point.wall_seconds = sim.timers().total(timers::kShortRange) +
-                         sim.timers().total(timers::kTreeBuild);
+    point.wall_seconds = core::fig5_seconds(sim.trace(), "short_range") +
+                         core::fig5_seconds(sim.trace(), "tree_build");
     const auto& stats = sim.thread_pool().stats();
     for (double b : stats.busy_seconds) point.busy_total += b;
     point.critical_path = stats.critical_path_seconds();

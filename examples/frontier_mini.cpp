@@ -5,8 +5,8 @@
 // models, injected machine interruptions with automatic restart from the
 // newest complete checkpoint, adaptive sub-cycling, and in situ analysis
 // every few PM steps. The final report mirrors the paper's headline
-// accounting: timer taxonomy, data written, effective I/O bandwidth, and
-// interruption count.
+// accounting: data written, effective I/O bandwidth, interruption count,
+// and (with --trace) the Fig. 5 time taxonomy.
 //
 //   ./examples/frontier_mini [--threads=N] [--sdc=on|off]
 //                            [--launch-schedule=leaf_owner|simd]
@@ -34,11 +34,13 @@
 //
 // --trace=FILE enables step-phase tracing on every rank and writes a
 // merged Chrome/Perfetto trace_event JSON (open in chrome://tracing or
-// ui.perfetto.dev; pid = rank, tid = pool thread). The report gains a
-// per-phase summary table and cross-rank imbalance (max/mean) stats.
+// ui.perfetto.dev; pid = rank, tid = pool thread). The report gains the
+// paper's Fig. 5 time taxonomy read from the spans, a per-phase summary
+// table, and cross-rank imbalance (max/mean) stats.
 //
-// --metrics prints the unified MetricsRegistry — timers, kernel FLOPs,
-// trace phase totals, and scheduler counters — reduced across all ranks.
+// --metrics prints the unified MetricsRegistry — kernel FLOPs, trace
+// phase totals (with --trace), and scheduler counters — reduced across
+// all ranks.
 //
 // --ckpt-diff switches the checkpoint writer to differential mode: each
 // write carries only the column chunks whose page CRC moved since the
@@ -418,16 +420,8 @@ int main(int argc, char** argv) {
                       : analysis::render_density_ascii(
                             result.analyses.back().slice, 48)
                             .c_str());
-      std::printf("timer taxonomy (rank 0), paper Fig. 5 style:\n");
-      const auto& timers = sim.timers();
-      for (const char* name :
-           {timers::kShortRange, timers::kAnalysis, timers::kIO,
-            timers::kLongRange, timers::kTreeBuild, timers::kMisc}) {
-        std::printf("  %-12s %8.3f s  (%5.1f%%)\n", name, timers.total(name),
-                    100.0 * timers.fraction(name));
-      }
       const auto& flops = sim.flops();
-      std::printf("\nkernel FLOPs: %.2f GFLOP total, sustained %.2f GFLOP/s, "
+      std::printf("kernel FLOPs: %.2f GFLOP total, sustained %.2f GFLOP/s, "
                   "peak kernel '%s' at %.2f GFLOP/s\n",
                   flops.total_flops() / 1e9, flops.sustained_gflops(),
                   flops.peak_kernel().c_str(), flops.peak_gflops());
@@ -471,6 +465,8 @@ int main(int argc, char** argv) {
         } else {
           std::fprintf(stderr, "trace: cannot write %s\n", trace_file.c_str());
         }
+        std::printf("\ntime taxonomy (rank 0), paper Fig. 5 style:\n%s",
+                    core::fig5_table(sim.trace()).c_str());
         std::printf("\nper-phase summary (rank 0):\n%s",
                     sim.trace().summary_table().c_str());
         if (!result.phase_stats.empty()) {

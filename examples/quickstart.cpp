@@ -4,7 +4,8 @@
 // dark matter, evolves it with the full CRK-HACC-style pipeline (PM
 // gravity + CRKSPH + cooling/star formation/feedback, adaptive
 // sub-cycling), and prints the in situ analysis: halos found, power
-// spectrum, and an ASCII density slice.
+// spectrum, an ASCII density slice, and the paper's Fig. 5 time
+// breakdown read from the run's trace spans.
 //
 //   ./examples/quickstart [num_ranks] [param_file]
 //
@@ -36,6 +37,7 @@ int main(int argc, char** argv) {
   config.hydro = true;
   config.subgrid_on = true;
   config.seed = 2024;
+  config.trace.enabled = true;  // the Fig. 5 breakdown reads the spans
   // Demo-resolution subgrid thresholds (coarse particle masses never
   // reach the production 0.13 cm^-3 star-formation density).
   config.subgrid.star_formation.n_h_threshold = 1e-5;
@@ -85,6 +87,7 @@ int main(int argc, char** argv) {
     comm.barrier();
 
     const auto analysis = sim.run_analysis();
+    sim.trace().flush(sim.current_step());  // commit the analysis spans
     if (comm.rank() == 0) {
       std::printf("\nin situ analysis at z = %.2f:\n", 1.0 / analysis.a - 1.0);
       std::printf("  FOF halos (>= 8 particles): %lld\n",
@@ -114,11 +117,8 @@ int main(int argc, char** argv) {
       std::printf("  slice clumping <rho^2>/<rho>^2 = %.2f, median gas T = %.1f K\n",
                   analysis.slice.clumping, analysis.slice.t_median_K);
 
-      std::printf("\ntimer breakdown (rank 0):\n");
-      for (const auto& [name, seconds] : sim.timers().sorted()) {
-        std::printf("  %-12s %8.3f s  (%5.1f%%)\n", name.c_str(), seconds,
-                    100.0 * sim.timers().fraction(name));
-      }
+      std::printf("\ntime breakdown (rank 0), paper Fig. 5 style:\n");
+      std::fputs(core::fig5_table(sim.trace()).c_str(), stdout);
     }
   });
   return 0;

@@ -69,35 +69,11 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::ingest_timers(const TimerRegistry& timers,
-                                    const std::string& prefix) {
-  for (const auto& [name, seconds] : timers.sorted())
-    add(prefix + name, seconds);
-}
-
 void MetricsRegistry::ingest_flops(const gpu::FlopRegistry& flops,
                                    const std::string& prefix) {
   for (const auto& [kernel, f, seconds] : flops.sorted()) {
     add(prefix + kernel, f);
     add(prefix + kernel + "_seconds", seconds);
-  }
-}
-
-void MetricsRegistry::ingest_histogram(const std::string& name,
-                                       const Histogram& hist) {
-  if (hist.count() == 0) return;
-  MetricValue& m = metrics_[name];
-  const MetricValue fold{MetricKind::kGauge,
-                         hist.mean() * static_cast<double>(hist.count()),
-                         hist.min(), hist.max(), hist.count()};
-  if (m.samples == 0) {
-    m = fold;
-  } else {
-    CHECK(m.kind == MetricKind::kGauge);
-    m.min = std::min(m.min, fold.min);
-    m.max = std::max(m.max, fold.max);
-    m.total += fold.total;
-    m.samples += fold.samples;
   }
 }
 

@@ -3,10 +3,10 @@
 // The paper reports figure-of-merit numbers that combine wall-clock
 // timers, FLOP counts, and distribution statistics from every rank
 // (Table I, Fig. 5/6). This registry is the single funnel those numbers
-// flow through: the existing TimerRegistry / FlopRegistry / Histogram /
-// TraceRecorder instruments ingest into named metrics, and a collective
-// reduce() produces one registry whose contents are identical on every
-// rank and independent of merge order.
+// flow through: the FlopRegistry and TraceRecorder instruments (trace
+// spans are the only phase timer) ingest into named metrics, and a
+// collective reduce() produces one registry whose contents are identical
+// on every rank and independent of merge order.
 //
 // Two kinds:
 //   - counter: a running sum (seconds, flops, events). merge/reduce add.
@@ -14,7 +14,7 @@
 //     keep min/max and the exact sample mean (sum + samples), which are
 //     all commutative — merge order cannot change the result.
 //
-// Thread model: like TimerRegistry, a MetricsRegistry is single-threaded
+// Thread model: like FlopRegistry, a MetricsRegistry is single-threaded
 // by design. Threaded producers fill one registry per worker and fold
 // them with merge() on the calling thread; determinism tests pin that
 // the fold is order-independent.
@@ -26,8 +26,6 @@
 #include <vector>
 
 #include "gpu/device.h"
-#include "util/histogram.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace crkhacc::comm {
@@ -73,11 +71,8 @@ class MetricsRegistry {
   void merge(const MetricsRegistry& other);
 
   /// Ingest adapters for the existing instruments.
-  void ingest_timers(const TimerRegistry& timers,
-                     const std::string& prefix = "time/");
   void ingest_flops(const gpu::FlopRegistry& flops,
                     const std::string& prefix = "flops/");
-  void ingest_histogram(const std::string& name, const Histogram& hist);
   void ingest_trace(const util::TraceRecorder& trace,
                     const std::string& prefix = "trace/");
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -20,15 +21,6 @@
 
 namespace crkhacc::core {
 namespace {
-
-/// Canonical per-step phases rolled into PhaseStat imbalance metrics.
-/// Every rank reduces over this exact list (collective), so it must be
-/// rank-independent; a rank that skipped a phase contributes zero.
-constexpr const char* kStepPhases[] = {
-    "exchange",     "tree_build", "tree_refit",   "long_range",
-    "bin_assign",   "load_balance", "short_range", "subgrid",
-    "sdc_snapshot", "sdc_audit",  "checkpoint_io", "analysis",
-};
 
 mesh::PMConfig pm_config_of(const SimConfig& config) {
   return mesh::PMConfig{config.ng, config.box, config.rs_cells,
@@ -54,6 +46,50 @@ SimConfig resolve_config(SimConfig config) {
 }
 
 }  // namespace
+
+namespace {
+
+double category_seconds(const util::TraceRecorder& trace,
+                        const Fig5Category& category) {
+  double seconds = 0.0;
+  for (const char* span : category.spans) {
+    if (span != nullptr) seconds += trace.total_seconds(span);
+  }
+  return seconds;
+}
+
+}  // namespace
+
+double fig5_seconds(const util::TraceRecorder& trace,
+                    std::string_view category) {
+  for (const Fig5Category& c : kFig5Taxonomy) {
+    if (c.name == category) return category_seconds(trace, c);
+  }
+  CHECK_MSG(false, "unknown Fig. 5 category");
+  return 0.0;
+}
+
+double fig5_total_seconds(const util::TraceRecorder& trace) {
+  double total = 0.0;
+  for (const Fig5Category& c : kFig5Taxonomy) {
+    total += category_seconds(trace, c);
+  }
+  return total;
+}
+
+std::string fig5_table(const util::TraceRecorder& trace) {
+  const double total = fig5_total_seconds(trace);
+  std::string out;
+  char line[96];
+  for (std::size_t c = 0; c < std::size(kFig5Taxonomy); ++c) {
+    const double seconds = category_seconds(trace, kFig5Taxonomy[c]);
+    std::snprintf(line, sizeof(line), "  %-12s %8.3f s  (%5.1f%%)\n",
+                  kFig5Taxonomy[c].name, seconds,
+                  total > 0.0 ? 100.0 * seconds / total : 0.0);
+    out += line;
+  }
+  return out;
+}
 
 Simulation::Simulation(SimContext& ctx, comm::Communicator& comm,
                        const SimConfig& config)
@@ -270,18 +306,14 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
   Stopwatch step_watch;
 
   // --- 1. exchange + overload refresh -----------------------------------
-  {
-    ScopedTimer t(timers_, timers::kMisc);
-    report.exchange =
-        exchange_and_overload(comm_, decomp_, particles_, overload_);
-  }
+  report.exchange =
+      exchange_and_overload(comm_, decomp_, particles_, overload_);
 
   // --- 2. chaining mesh + trees, built once per PM step ------------------
   const auto obox = decomp_.overloaded_box(comm_.rank(), overload_);
   tree::ChainingMesh mesh_all(obox, {cm_bin_width_, 64});
   tree::ChainingMesh mesh_gas(obox, {cm_bin_width_, 64});
   {
-    ScopedTimer t(timers_, timers::kTreeBuild);
     HACC_TRACE_SPAN("tree_build");
     mesh_all.build(particles_, &pool_);
     if (config_.hydro) mesh_gas.build(particles_, gas_indices(), &pool_);
@@ -289,7 +321,6 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
 
   // --- 3. long-range spectral solve + PM-level kick ----------------------
   {
-    ScopedTimer t(timers_, timers::kLongRange);
     HACC_TRACE_SPAN("long_range");
     pm_.apply(comm_, particles_, overload_);
     const double a_mid = 0.5 * (a0 + a1);
@@ -345,21 +376,17 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
     const double a_s = a0 + static_cast<double>(s) * da_fine;
     integrator::activity_mask(particles_, s, depth, active);
 
-    {
-      ScopedTimer t(timers_, timers::kTreeBuild);
-      if (config_.rebuild_tree_every_substep) {
-        HACC_TRACE_SPAN("tree_build");
-        mesh_all.build(particles_, &pool_);
-        if (config_.hydro) mesh_gas.build(particles_, gas_indices(), &pool_);
-      } else {
-        HACC_TRACE_SPAN("tree_refit");
-        mesh_all.refit_bounds(particles_, &pool_);
-        if (config_.hydro) mesh_gas.refit_bounds(particles_, &pool_);
-      }
+    if (config_.rebuild_tree_every_substep) {
+      HACC_TRACE_SPAN("tree_build");
+      mesh_all.build(particles_, &pool_);
+      if (config_.hydro) mesh_gas.build(particles_, gas_indices(), &pool_);
+    } else {
+      HACC_TRACE_SPAN("tree_refit");
+      mesh_all.refit_bounds(particles_, &pool_);
+      if (config_.hydro) mesh_gas.refit_bounds(particles_, &pool_);
     }
 
     {
-      ScopedTimer t(timers_, timers::kShortRange);
       HACC_TRACE_SPAN("short_range");
       // Zero force accumulators of active particles only; inactive keep
       // stale values that no kick reads.
@@ -428,13 +455,16 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
         const std::uint64_t span_fine = 1ull << (depth - b);
         const double a_bin_end =
             a0 + static_cast<double>(std::min(s + span_fine, nfine)) * da_fine;
+        // One cosmic-time quadrature per bin, not per particle: every
+        // particle of the bin shares the interval.
+        const double dt_bin = kdk_.dt_of(a_s, a_bin_end);
         std::vector<std::uint8_t> bin_mask(particles_.size(), 0);
         bool any = false;
         for (std::size_t i = 0; i < particles_.size(); ++i) {
           if (active[i] && particles_.bin[i] == b) {
             bin_mask[i] = 1;
             any = true;
-            dt_particle[i] = kdk_.dt_of(a_s, a_bin_end);
+            dt_particle[i] = dt_bin;
           }
         }
         if (!any) continue;
@@ -467,7 +497,6 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
   // this rank (their requests are already queued; recv order is FIFO
   // per donor, so the drain picks up exactly where the loop stopped).
   if (lb.is_helper()) {
-    ScopedTimer t(timers_, timers::kShortRange);
     HACC_TRACE_SPAN("short_range");
     lb_.drain(lb, nfine, &pm_.split(), config_.gravity, flops_, &pool_);
   }
@@ -492,7 +521,6 @@ void Simulation::write_step_checkpoint(io::MultiTierWriter* writer,
   // is ever persisted (a corrupt array must not poison the at-rest tier
   // the escalation path will restore from).
   if (!writer) return;
-  ScopedTimer t(timers_, timers::kIO);
   HACC_TRACE_SPAN("checkpoint_io");
   io::SnapshotMeta meta;
   meta.step = step_;
@@ -652,7 +680,6 @@ StepReport Simulation::step_guarded(io::MultiTierWriter* writer) {
 AnalysisResult Simulation::run_analysis() {
   AnalysisResult result;
   result.a = a_;
-  ScopedTimer t(timers_, timers::kAnalysis);
   // Analysis spans commit at the next step's flush (or the end-of-run
   // flush), so their imbalance stats attribute to the following step.
   util::TraceRecorder::Context trace_ctx(&trace_);
@@ -1013,7 +1040,6 @@ void RunResult::merge(const RunResult& other) {
 
 MetricsRegistry Simulation::collect_metrics() const {
   MetricsRegistry m;
-  m.ingest_timers(timers_);
   m.ingest_flops(flops_);
   if (config_.trace.enabled) m.ingest_trace(trace_);
   const util::ThreadPoolStats pool = pool_.stats();

@@ -8,13 +8,15 @@
 //   CRKSPH hydro, subgrid sources; leaf AABBs refit, only active bins
 //   updated) -> in situ analysis -> multi-tier checkpoint I/O.
 //
-// Wall-clock is accounted into the paper's Fig. 5 timer taxonomy
-// (long_range / tree_build / short_range / analysis / io / misc), and all
-// kernel FLOPs into a FlopRegistry for the Fig. 6 utilization analysis.
+// Wall-clock is accounted by trace spans (read into the paper's Fig. 5
+// taxonomy through kFig5Taxonomy when tracing is on), and all kernel
+// FLOPs into a FlopRegistry for the Fig. 6 utilization analysis.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "analysis/galaxies.h"
@@ -48,6 +50,44 @@
 #include "util/trace.h"
 
 namespace crkhacc::core {
+
+/// Canonical per-step phases rolled into PhaseStat imbalance metrics.
+/// Every rank reduces over this exact list (collective), so it must be
+/// rank-independent; a rank that skipped a phase contributes zero.
+inline constexpr const char* kStepPhases[] = {
+    "exchange",     "tree_build", "tree_refit",   "long_range",
+    "bin_assign",   "load_balance", "short_range", "subgrid",
+    "sdc_snapshot", "sdc_audit",  "checkpoint_io", "analysis",
+};
+
+/// One category of the paper's Fig. 5 time-to-solution breakdown and
+/// the trace spans that time its region (unused slots are null).
+struct Fig5Category {
+  const char* name;
+  std::array<const char*, 2> spans;
+};
+
+/// The Fig. 5 taxonomy in the paper's order. The spans are disjoint
+/// (none nests inside another listed span), so no second counts twice.
+inline constexpr Fig5Category kFig5Taxonomy[] = {
+    {"short_range", {"short_range"}},
+    {"analysis", {"analysis"}},
+    {"io", {"checkpoint_io"}},
+    {"long_range", {"long_range"}},
+    {"tree_build", {"tree_build", "tree_refit"}},
+    {"misc", {"exchange"}},
+};
+
+/// Committed seconds of Fig. 5 `category` in `trace`. Spans commit at a
+/// flush: read after finalize_run() or an explicit trace().flush(), or
+/// the trailing run_analysis() is missing.
+double fig5_seconds(const util::TraceRecorder& trace,
+                    std::string_view category);
+/// Committed seconds of all Fig. 5 categories of `trace` together.
+double fig5_total_seconds(const util::TraceRecorder& trace);
+/// One "name  seconds  (share %)" line per Fig. 5 category of `trace`;
+/// shares are of the categories' sum (same flush rule as above).
+std::string fig5_table(const util::TraceRecorder& trace);
 
 /// Cross-rank load-balance statistics for one traced step phase: the
 /// paper's Fig. 6 imbalance view. mean is the rank-average wall time of
@@ -300,8 +340,6 @@ class Simulation {
   const SimConfig& config() const { return config_; }
   const comm::CartDecomposition& decomposition() const { return decomp_; }
   const cosmo::Background& background() const { return bg_; }
-  TimerRegistry& timers() { return timers_; }
-  const TimerRegistry& timers() const { return timers_; }
   gpu::FlopRegistry& flops() { return flops_; }
   double overload_width() const { return overload_; }
   util::ThreadPool& thread_pool() { return pool_; }
@@ -311,7 +349,7 @@ class Simulation {
   util::TraceRecorder& trace() { return trace_; }
   const util::TraceRecorder& trace() const { return trace_; }
 
-  /// Snapshot every instrument (timers, flops, trace, threading) into a
+  /// Snapshot every instrument (flops, trace, threading) into a
   /// single registry; reduce() it across ranks for the global view.
   MetricsRegistry collect_metrics() const;
 
@@ -382,7 +420,6 @@ class Simulation {
   integrator::TimestepAnomalyStats last_anomalies_;
   std::uint64_t sph_nonfinite_baseline_ = 0;
 
-  TimerRegistry timers_;
   gpu::FlopRegistry flops_;
   util::TraceRecorder trace_;
 };

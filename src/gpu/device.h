@@ -48,9 +48,9 @@ double host_peak_gflops();
 
 /// Accumulates analytic FLOP counts per kernel name.
 ///
-/// Like TimerRegistry, add() is unsynchronized: launches record their
-/// totals on the calling thread after the parallel region completes, so
-/// worker threads never mutate a registry.
+/// add() is unsynchronized: launches record their totals on the calling
+/// thread after the parallel region completes, so worker threads never
+/// mutate a registry.
 class FlopRegistry {
  public:
   void add(const std::string& kernel, double flops, double seconds);

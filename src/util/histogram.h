@@ -5,7 +5,7 @@
 //
 // add() mutates unsynchronized state and must not be called concurrently.
 // Threaded producers should fill one Histogram per worker and fold them
-// with merge() in a fixed order (thread-local pattern, like TimerRegistry).
+// with merge() in a fixed order (thread-local pattern).
 #pragma once
 
 #include <cstddef>

@@ -1,16 +1,11 @@
-// Hierarchical wall-clock timers.
+// Monotonic wall-clock stopwatch.
 //
-// The paper's time-to-solution breakdown (Fig. 5) is a per-component timer
-// taxonomy: long-range solver, tree build, short-range solver, in situ
-// analysis, I/O, and a miscellaneous remainder. TimerRegistry reproduces
-// that taxonomy: named accumulating timers that can be snapshotted per PM
-// step to build cumulative TTS curves.
+// Phase timing (the paper's Fig. 5 taxonomy included) lives in the trace
+// spans of util/trace.h; this is the plain clock they and ad-hoc
+// measurements read.
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace crkhacc {
 
@@ -28,67 +23,5 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
-
-/// Named accumulating timers, keyed by component name.
-///
-/// Not thread-safe by design: each simulated rank owns its own registry,
-/// mirroring per-rank MPI_Wtime timing in the paper. With the intra-node
-/// ThreadPool this stays sound because all ScopedTimer/add() calls happen
-/// on the rank's calling thread, *around* parallel regions — worker
-/// threads never touch a registry. Per-worker timing lives in
-/// ThreadPoolStats instead (merged by the pool itself); if a worker ever
-/// needs named timers, give it a thread-local registry and merge() on the
-/// calling thread.
-class TimerRegistry {
- public:
-  /// Add `seconds` to the named timer, creating it if absent.
-  void add(const std::string& name, double seconds);
-
-  /// Total accumulated seconds for `name` (0 if never recorded).
-  double total(const std::string& name) const;
-
-  /// Sum over all named timers.
-  double grand_total() const;
-
-  /// Fraction of grand_total() spent in `name`.
-  double fraction(const std::string& name) const;
-
-  /// All (name, seconds) pairs sorted by descending time.
-  std::vector<std::pair<std::string, double>> sorted() const;
-
-  /// Merge another registry into this one (used to aggregate ranks).
-  void merge(const TimerRegistry& other);
-
-  void clear() { timers_.clear(); }
-
- private:
-  std::map<std::string, double> timers_;
-};
-
-/// RAII timer: adds elapsed time to `registry[name]` on destruction.
-class ScopedTimer {
- public:
-  ScopedTimer(TimerRegistry& registry, std::string name)
-      : registry_(registry), name_(std::move(name)) {}
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerRegistry& registry_;
-  std::string name_;
-  Stopwatch watch_;
-};
-
-/// Canonical component names matching the paper's Fig. 5 taxonomy.
-namespace timers {
-inline constexpr const char* kLongRange = "long_range";
-inline constexpr const char* kTreeBuild = "tree_build";
-inline constexpr const char* kShortRange = "short_range";
-inline constexpr const char* kAnalysis = "analysis";
-inline constexpr const char* kIO = "io";
-inline constexpr const char* kMisc = "misc";
-}  // namespace timers
 
 }  // namespace crkhacc

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <string_view>
 
@@ -222,12 +223,40 @@ double TraceRecorder::step_seconds(std::uint64_t step,
 }
 
 std::vector<PhaseSummary> TraceRecorder::summary() const {
+  // Self time: walk each thread's spans in open order (a span still open
+  // at a flush commits after its children, so re-sort across flushes);
+  // a span's parent is the latest span one level up that still covers
+  // its start. A dropped parent leaves its children unattributed.
+  std::vector<std::size_t> order(committed_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const TraceEvent& x = committed_[a];
+    const TraceEvent& y = committed_[b];
+    return x.tid != y.tid ? x.tid < y.tid : x.open_seq < y.open_seq;
+  });
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<double> child_seconds(committed_.size(), 0.0);
+  std::vector<std::size_t> open;  // open[d]: latest span at depth d
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const TraceEvent& ev = committed_[order[k]];
+    if (k > 0 && committed_[order[k - 1]].tid != ev.tid) open.clear();
+    open.resize(ev.depth, kNone);
+    if (ev.depth > 0 && open.back() != kNone) {
+      const TraceEvent& parent = committed_[open.back()];
+      if (ev.start <= parent.start + parent.dur)
+        child_seconds[open.back()] += ev.dur;
+    }
+    open.push_back(order[k]);
+  }
+
   std::map<std::string, PhaseSummary> by_name;
-  for (const TraceEvent& ev : committed_) {
+  for (std::size_t i = 0; i < committed_.size(); ++i) {
+    const TraceEvent& ev = committed_[i];
     PhaseSummary& s = by_name[ev.name];
     if (s.count == 0) s.name = ev.name;
     ++s.count;
     s.total_seconds += ev.dur;
+    s.self_seconds += ev.dur - child_seconds[i];
     s.max_seconds = std::max(s.max_seconds, ev.dur);
   }
   std::vector<PhaseSummary> out;
@@ -245,19 +274,21 @@ std::vector<PhaseSummary> TraceRecorder::summary() const {
 std::string TraceRecorder::summary_table() const {
   const auto rows = summary();
   double grand = 0.0;
-  for (const PhaseSummary& r : rows) grand += r.total_seconds;
+  for (const PhaseSummary& r : rows) grand += r.self_seconds;
   std::ostringstream out;
   char line[160];
-  std::snprintf(line, sizeof(line), "%-24s %8s %12s %10s %10s %6s\n", "phase",
-                "count", "total(s)", "mean(ms)", "max(ms)", "%");
+  std::snprintf(line, sizeof(line), "%-24s %8s %12s %12s %10s %10s %6s\n",
+                "phase", "count", "total(s)", "self(s)", "mean(ms)", "max(ms)",
+                "%");
   out << line;
   for (const PhaseSummary& r : rows) {
     std::snprintf(line, sizeof(line),
-                  "%-24s %8llu %12.4f %10.3f %10.3f %6.1f\n", r.name.c_str(),
-                  static_cast<unsigned long long>(r.count), r.total_seconds,
+                  "%-24s %8llu %12.4f %12.4f %10.3f %10.3f %6.2f\n",
+                  r.name.c_str(), static_cast<unsigned long long>(r.count),
+                  r.total_seconds, r.self_seconds,
                   1e3 * r.total_seconds / static_cast<double>(r.count),
                   1e3 * r.max_seconds,
-                  grand > 0.0 ? 100.0 * r.total_seconds / grand : 0.0);
+                  grand > 0.0 ? 100.0 * r.self_seconds / grand : 0.0);
     out << line;
   }
   return out.str();

@@ -71,7 +71,8 @@ struct TraceEvent {
 struct PhaseSummary {
   std::string name;
   std::uint64_t count = 0;
-  double total_seconds = 0.0;
+  double total_seconds = 0.0;  ///< Inclusive: children's time counted.
+  double self_seconds = 0.0;   ///< Exclusive: direct children subtracted.
   double max_seconds = 0.0;
 };
 
@@ -155,9 +156,11 @@ class TraceRecorder {
   double step_seconds(std::uint64_t step, const char* name) const;
 
   /// Per-name aggregation over all committed events, sorted by
-  /// descending total time (ties by name).
+  /// descending total time (ties by name). Self seconds sum, over all
+  /// names, to the depth-0 totals.
   std::vector<PhaseSummary> summary() const;
-  /// Human-readable per-phase table of summary().
+  /// Human-readable per-phase table of summary(); its "%" column is the
+  /// share of self seconds, so it sums to 100.
   std::string summary_table() const;
 
   /// Chrome trace_event objects for this rank, comma-joined (no

@@ -13,9 +13,7 @@
 #include "comm/world.h"
 #include "core/metrics.h"
 #include "gpu/device.h"
-#include "util/histogram.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace crkhacc::core {
@@ -106,26 +104,16 @@ TEST(MetricsRegistry, MergeIsOrderIndependent) {
 }
 
 TEST(MetricsRegistry, IngestTimersAndFlops) {
-  TimerRegistry timers;
-  timers.add("short_range", 2.0);
-  timers.add("long_range", 1.0);
   gpu::FlopRegistry flops;
   flops.add("sph_density", 1e9, 0.5);
 
   MetricsRegistry reg;
-  reg.ingest_timers(timers);
   reg.ingest_flops(flops);
-  EXPECT_EQ(reg.value("time/short_range"), 2.0);
-  EXPECT_EQ(reg.value("time/long_range"), 1.0);
   EXPECT_EQ(reg.value("flops/sph_density"), 1e9);
   EXPECT_EQ(reg.value("flops/sph_density_seconds"), 0.5);
 }
 
 TEST(MetricsRegistry, IngestHistogramAndTrace) {
-  Histogram hist(0.0, 1.0, 10);
-  hist.add(0.2);
-  hist.add(0.8);
-
   util::TraceConfig tc;
   tc.enabled = true;
   util::TraceRecorder trace(tc);
@@ -137,14 +125,7 @@ TEST(MetricsRegistry, IngestHistogramAndTrace) {
   trace.flush(0);
 
   MetricsRegistry reg;
-  reg.ingest_histogram("imbalance", hist);
   reg.ingest_trace(trace);
-  const MetricValue* h = reg.find("imbalance");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->kind, MetricKind::kGauge);
-  EXPECT_EQ(h->samples, 2u);
-  EXPECT_EQ(h->min, 0.2);
-  EXPECT_EQ(h->max, 0.8);
   EXPECT_EQ(reg.value("trace/phase_a_spans"), 2.0);
   EXPECT_GT(reg.value("trace/phase_a_seconds"), 0.0);
   EXPECT_EQ(reg.value("trace/events"), 2.0);

@@ -86,6 +86,47 @@ TEST(TraceRecorder, RecordsNestedSpansWithDepthAndOrder) {
             events[1].start + events[1].dur);
 }
 
+TEST(TraceRecorder, SelfSecondsSubtractDirectChildren) {
+  TraceRecorder rec(enabled_config());
+  TraceRecorder::Context ctx(&rec);
+  {
+    HACC_TRACE_SPAN("step");
+    {
+      HACC_TRACE_SPAN("long_range");
+      { HACC_TRACE_SPAN("fft"); }
+    }
+    for (int i = 0; i < 2; ++i) {
+      HACC_TRACE_SPAN("short_range");
+      { HACC_TRACE_SPAN("kick"); }
+    }
+    rec.flush(0);  // "step" is still open: its children commit first
+  }
+  { HACC_TRACE_SPAN("analysis"); }
+  rec.flush(1);
+
+  std::map<std::string, PhaseSummary> by_name;
+  for (const PhaseSummary& s : rec.summary()) by_name[s.name] = s;
+  ASSERT_EQ(by_name.size(), 6u);
+  const auto total = [&](const char* name) {
+    return by_name.at(name).total_seconds;
+  };
+  const auto self = [&](const char* name) {
+    return by_name.at(name).self_seconds;
+  };
+  EXPECT_NEAR(self("step"),
+              total("step") - total("long_range") - total("short_range"),
+              1e-12);
+  EXPECT_NEAR(self("long_range"), total("long_range") - total("fft"), 1e-12);
+  EXPECT_NEAR(self("short_range"), total("short_range") - total("kick"),
+              1e-12);
+  for (const char* leaf : {"fft", "kick", "analysis"}) {
+    EXPECT_EQ(self(leaf), total(leaf)) << leaf;
+  }
+  double self_sum = 0.0;
+  for (const auto& [name, s] : by_name) self_sum += s.self_seconds;
+  EXPECT_NEAR(self_sum, total("step") + total("analysis"), 1e-12);
+}
+
 TEST(TraceRecorder, StepSecondsAttributesToFlushedStep) {
   TraceRecorder rec(enabled_config());
   TraceRecorder::Context ctx(&rec);

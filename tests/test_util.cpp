@@ -1,4 +1,4 @@
-// Unit tests for the util substrate: timers, RNG, CRC, Morton codes,
+// Unit tests for the util substrate: stopwatch, RNG, CRC, Morton codes,
 // histograms.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 namespace crkhacc {
 namespace {
 
-// --- timers ---------------------------------------------------------------
+// --- stopwatch ---------------------------------------------------------------
 
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch watch;
@@ -23,46 +23,6 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(watch.seconds(), 0.015);
   watch.reset();
   EXPECT_LT(watch.seconds(), 0.015);
-}
-
-TEST(TimerRegistry, AccumulatesNamedTimers) {
-  TimerRegistry registry;
-  registry.add("a", 1.0);
-  registry.add("a", 2.0);
-  registry.add("b", 3.0);
-  EXPECT_DOUBLE_EQ(registry.total("a"), 3.0);
-  EXPECT_DOUBLE_EQ(registry.total("b"), 3.0);
-  EXPECT_DOUBLE_EQ(registry.total("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(registry.grand_total(), 6.0);
-  EXPECT_DOUBLE_EQ(registry.fraction("a"), 0.5);
-}
-
-TEST(TimerRegistry, SortedReturnsDescending) {
-  TimerRegistry registry;
-  registry.add("small", 1.0);
-  registry.add("large", 10.0);
-  const auto sorted = registry.sorted();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(sorted[0].first, "large");
-}
-
-TEST(TimerRegistry, MergeSumsPerName) {
-  TimerRegistry a, b;
-  a.add("x", 1.0);
-  b.add("x", 2.0);
-  b.add("y", 5.0);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.total("x"), 3.0);
-  EXPECT_DOUBLE_EQ(a.total("y"), 5.0);
-}
-
-TEST(ScopedTimer, RecordsOnDestruction) {
-  TimerRegistry registry;
-  {
-    ScopedTimer timer(registry, "scope");
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GT(registry.total("scope"), 0.005);
 }
 
 // --- rng --------------------------------------------------------------------
